@@ -61,8 +61,6 @@ fn git_describe() -> Option<String> {
 struct Loaded {
     scenario: Scenario,
     injections: Vec<(SimTime, Event)>,
-    /// Shard partitions from the spec (`0` = solo); `--shards` overrides.
-    shards: usize,
 }
 
 /// Load, strictly validate and compile a `--scenario FILE` DSL document.
@@ -81,7 +79,6 @@ fn build_scenario(args: &Args) -> Result<Loaded, String> {
         return Ok(Loaded {
             scenario,
             injections: compiled.injections,
-            shards: compiled.shards,
         });
     }
     if let Some(path) = args.get_str("config") {
@@ -91,7 +88,6 @@ fn build_scenario(args: &Args) -> Result<Loaded, String> {
         return Ok(Loaded {
             scenario,
             injections: Vec::new(),
-            shards: 0,
         });
     }
     let preset = args.get_str("preset").unwrap_or("steady");
@@ -116,7 +112,6 @@ fn build_scenario(args: &Args) -> Result<Loaded, String> {
     Ok(Loaded {
         scenario,
         injections: Vec::new(),
-        shards: 0,
     })
 }
 
@@ -124,7 +119,6 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     let Loaded {
         scenario,
         injections,
-        shards,
     } = build_scenario(args)?;
     let quiet = args.has("quiet");
     let telemetry_dir = args.get_str("telemetry-dir").map(PathBuf::from);
@@ -139,8 +133,6 @@ fn cmd_run(args: &Args) -> Result<(), String> {
             window: SimTime::from_secs(args.get("telemetry-window", 300)),
             profile: true,
         }),
-        // CLI flag wins over the spec's `shards` field; both default solo.
-        shards: args.get("shards", shards),
     };
     if !quiet {
         eprintln!(
@@ -237,7 +229,6 @@ fn cmd_bench(args: &Args) -> Result<(), String> {
         args.get("reps", 3).max(1)
     };
     opts.record_spans = !args.has("no-spans");
-    opts.shards = args.get("shards", 0);
     if let Some(list) = args.get_str("scenarios") {
         opts.filter = Some(list.split(',').map(|s| s.trim().to_string()).collect());
     }
@@ -361,7 +352,6 @@ fn spec_from_flags(args: &Args) -> Result<ScenarioSpec, String> {
         free_rider_share: None,
         policy: None,
         snapshot_s: None,
-        shards: None,
         events: Vec::new(),
     };
     if args.has("seed") {
@@ -405,11 +395,11 @@ USAGE:
                       [--out DIR] [--quiet]
                       [--check-invariants] [--invariant-stride N]
                       [--trace-hash] [--telemetry-dir DIR]
-                      [--telemetry-window SECS] [--shards N]
+                      [--telemetry-window SECS]
   coolstream bench    [--quick] [--reps N] [--scenarios a,b,c]
                       [--scenarios-dir DIR] [--out-dir DIR] [--no-spans]
                       [--compare BENCH.json] [--warn-pct N] [--fail-pct N]
-                      [--quiet] [--shards N]
+                      [--quiet]
   coolstream analyze  --log FILE [--out DIR]
   coolstream config   [--preset ...] [--scenario spec.json] [--example]
   coolstream help
@@ -446,11 +436,6 @@ sim-time causal spans (spans.jsonl) into --out-dir (default bench-out).
                        (manifest.json) into DIR; implies --trace-hash
   --telemetry-window N aggregation window in seconds (default 300, the
                        paper's status-report cadence)
-  --shards N           partition the world into N shards and drive them
-                       through the epoch-barrier sharded engine (default:
-                       the spec's `shards`, else the solo engine). Output
-                       is byte-identical to solo for every N; BENCH
-                       reports gain per-shard event totals.
 ";
 
 fn main() -> ExitCode {

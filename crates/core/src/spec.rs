@@ -76,9 +76,6 @@ pub struct ScenarioSpec {
     pub policy: Option<PolicySpec>,
     /// Topology snapshot cadence in seconds (`None` = base default).
     pub snapshot_s: Option<u64>,
-    /// Shard partitions to run with (`None` = the solo engine; `N ≥ 1`
-    /// = the epoch-barrier sharded driver, byte-identical to solo).
-    pub shards: Option<u64>,
     /// Timed chaos injections.
     pub events: Vec<ChaosSpec>,
 }
@@ -189,7 +186,6 @@ impl Serialize for ScenarioSpec {
         push_opt(&mut m, "free_rider_share", &self.free_rider_share);
         push_opt(&mut m, "policy", &self.policy);
         push_opt(&mut m, "snapshot_s", &self.snapshot_s);
-        push_opt(&mut m, "shards", &self.shards);
         push(&mut m, "events", &self.events);
         Value::Map(m)
     }
@@ -220,7 +216,6 @@ impl ScenarioSpec {
                 "free_rider_share",
                 "policy",
                 "snapshot_s",
-                "shards",
                 "events",
             ],
             "scenario",
@@ -251,7 +246,6 @@ impl ScenarioSpec {
                 Some(v) => Some(PolicySpec::from_tree(v)?),
             },
             snapshot_s: opt(m, "snapshot_s", "scenario")?,
-            shards: opt(m, "shards", "scenario")?,
             events: match get(m, "events") {
                 None | Some(Value::Null) => Vec::new(),
                 Some(v) => {
@@ -329,9 +323,6 @@ impl ScenarioSpec {
         }
         if self.snapshot_s == Some(0) {
             return err("`snapshot_s` must be >= 1");
-        }
-        if self.shards == Some(0) {
-            return err("`shards` must be >= 1 (omit the field for the solo engine)");
         }
         let server_count = self.servers.map(|s| s.count);
         for (i, e) in self.events.iter().enumerate() {
@@ -447,7 +438,6 @@ impl ScenarioSpec {
         Ok(CompiledSpec {
             scenario,
             injections,
-            shards: self.shards.map_or(0, |s| s as usize),
         })
     }
 
@@ -475,7 +465,6 @@ impl ScenarioSpec {
                 firewall_accept_prob: 0.1,
             }),
             snapshot_s: Some(60),
-            shards: Some(2),
             events: vec![
                 ChaosSpec::ServerCrash {
                     at_s: 300,
@@ -523,10 +512,6 @@ pub struct CompiledSpec {
     pub scenario: Scenario,
     /// Engine chaos injections, in file order.
     pub injections: Vec<(SimTime, Event)>,
-    /// Shard partitions from the spec (`0` = unset → solo engine).
-    /// Feed into [`RunOptions::shards`](crate::RunOptions); a CLI
-    /// `--shards` flag overrides it.
-    pub shards: usize,
 }
 
 impl Serialize for BaseSpec {
@@ -643,6 +628,14 @@ mod tests {
         json = json.replacen("\"name\"", "\"nmae\"", 1);
         let e = ScenarioSpec::from_json(&json).unwrap_err();
         assert!(e.0.contains("unknown field `nmae`"), "{e}");
+    }
+
+    #[test]
+    fn retired_shards_field_is_rejected() {
+        let json =
+            r#"{"version": 1, "name": "x", "base": {"kind": "steady", "rate": 0.5}, "shards": 2}"#;
+        let e = ScenarioSpec::from_json(json).unwrap_err();
+        assert!(e.0.contains("unknown field `shards`"), "{e}");
     }
 
     #[test]

@@ -44,7 +44,6 @@ fn build_spec(
             firewall_accept_prob: (magnitude / 4.0).min(1.0),
         }),
         snapshot_s: (knobs & 32 != 0).then_some(30 + seed % 120),
-        shards: (knobs & 64 != 0).then_some(1 + seed % 8),
         events: Vec::new(),
     };
     let server_count = spec.servers.map_or(1, |s| s.count);
@@ -126,6 +125,41 @@ proptest! {
         let json = serde_json::to_string(&Value::Map(m)).unwrap();
         let err = ScenarioSpec::from_json(&json).unwrap_err();
         prop_assert!(err.0.contains("unknown field `bogus_knob`"), "{err}");
+    }
+
+    /// Every prefix of a valid spec's JSON parses to `Ok` or `Err`,
+    /// never a panic; only the complete text is guaranteed to parse.
+    #[test]
+    fn from_json_is_total_on_prefixes(
+        seed in any::<u64>(),
+        end_s in 60u64..3600,
+        knobs in any::<u8>(),
+        event_picks in proptest::collection::vec(any::<u8>(), 0..9),
+    ) {
+        let json = build_spec(1, 0.5, seed, end_s, knobs, event_picks).to_json();
+        for cut in (0..json.len()).filter(|&i| json.is_char_boundary(i)) {
+            let _ = ScenarioSpec::from_json(&json[..cut]);
+        }
+        prop_assert!(ScenarioSpec::from_json(&json).is_ok());
+    }
+
+    /// Overwriting a few bytes of a valid spec's JSON with arbitrary
+    /// bytes yields `Ok` or `Err` from the parser, never a panic.
+    #[test]
+    fn from_json_is_total_on_byte_mutations(
+        seed in any::<u64>(),
+        knobs in any::<u8>(),
+        event_picks in proptest::collection::vec(any::<u8>(), 0..9),
+        edits in proptest::collection::vec((any::<u32>(), any::<u8>()), 1..6),
+    ) {
+        let mut bytes = build_spec(0, 0.3, seed, 900, knobs, event_picks)
+            .to_json()
+            .into_bytes();
+        for (pos, byte) in edits {
+            let i = pos as usize % bytes.len();
+            bytes[i] = byte;
+        }
+        let _ = ScenarioSpec::from_json(&String::from_utf8_lossy(&bytes));
     }
 
     /// Any version other than 1 is rejected with a clear error.

@@ -153,10 +153,9 @@ with the reason the file is one unit.",
         explain: "The manager decomposition gives each of partnership/stream/membership \
 sole write-ownership of its pub(super) state fields; other modules read freely but must \
 mutate through the owning manager's pub(crate) methods. A stray cross-manager field \
-write reintroduces the shared-mutable-state coupling the split removed, and is exactly \
-the hazard that breaks sharded (ROADMAP item 1) execution, where managers live on \
-different shards. Reads are not findings; only write sites outside src/<owner>.rs and \
-src/<owner>/** are.",
+write reintroduces the shared-mutable-state coupling the split removed: a manager's \
+invariants can then be broken by code that never runs its handlers. Reads are not \
+findings; only write sites outside src/<owner>.rs and src/<owner>/** are.",
     },
     R1 {
         id: "R1",
@@ -181,24 +180,9 @@ traces in ways that only surface at scale.",
         explain: "Per-peer state lives in a generational slab (crates/proto/src/arena.rs) \
 behind CsWorld's accessor API (peer/peer_mut/two_mut/peers/…). Raw `peers[i]` or \
 `arena.get(i)` access from manager code bypasses the generation check that catches \
-stale handles after slot reuse, and couples callers to the slab layout the sharding \
-work (ROADMAP item 1) will change. Route access through the world.rs accessors, or \
-escape with the invariant that makes the raw access safe.",
-    },
-    A2 {
-        id: "A2",
-        slug: "shard-isolation",
-        escapable: true,
-        scope: "deterministic crates, outside the shard router seam (proto world/shard/arena, sim shard)",
-        summary: "Raw shard-partition access outside the router seam.",
-        explain: "Sharded execution partitions the peer arena into per-shard columns behind \
-a deterministic NodeId→shard map (crates/proto/src/shard.rs). CsWorld is a thin router: \
-manager code addresses peers by NodeId or handle and must never see partition boundaries. \
-Raw `shards[i]` subscripts or `shard_pair_mut(..)` calls outside the seam \
-(crates/proto/src/{world,shard,arena}.rs, crates/sim/src/shard.rs) couple callers to the \
-partition layout and can cross shard ownership lines, which breaks the epoch-barrier \
-driver's byte-identical-to-solo guarantee. Route access through the CsWorld accessors, \
-or escape with the ownership invariant that makes the raw access safe.",
+stale handles after slot reuse, and couples callers to the slab's column layout. \
+Route access through the world.rs accessors, or escape with the invariant that makes \
+the raw access safe.",
     },
     X1 {
         id: "X1",
@@ -286,9 +270,6 @@ pub struct Config {
     /// The peer-arena accessor seam: the only files allowed to index the
     /// arena's columns directly (A1).
     pub arena_files: Vec<String>,
-    /// The shard router seam: the only files allowed raw partition
-    /// access (`shards[i]`, `shard_pair_mut`) (A2).
-    pub shard_files: Vec<String>,
 }
 
 impl Default for Config {
@@ -307,21 +288,9 @@ impl Default for Config {
             entropy_files: vec!["crates/sim/src/rng.rs".to_string()],
             max_file_lines: 800,
             stream_module: "crates/sim/src/rng.rs".to_string(),
-            arena_files: [
-                "crates/proto/src/world.rs",
-                "crates/proto/src/arena.rs",
-                "crates/proto/src/shard.rs",
-            ]
-            .map(String::from)
-            .to_vec(),
-            shard_files: [
-                "crates/proto/src/world.rs",
-                "crates/proto/src/shard.rs",
-                "crates/proto/src/arena.rs",
-                "crates/sim/src/shard.rs",
-            ]
-            .map(String::from)
-            .to_vec(),
+            arena_files: ["crates/proto/src/world.rs", "crates/proto/src/arena.rs"]
+                .map(String::from)
+                .to_vec(),
         }
     }
 }
@@ -372,7 +341,6 @@ pub fn lint_tokens(ctx: &FileCtx<'_>, lexed: &Lexed, mask: &[bool], cfg: &Config
     let panic_ok = cfg.panic_exempt_crates.iter().any(|c| c == ctx.crate_name);
     let entropy_ok = cfg.entropy_files.iter().any(|f| f == ctx.rel_path);
     let arena_ok = cfg.arena_files.iter().any(|f| f == ctx.rel_path);
-    let shard_ok = cfg.shard_files.iter().any(|f| f == ctx.rel_path);
 
     for i in 0..toks.len() {
         if mask.get(i).copied().unwrap_or(false) {
@@ -498,30 +466,6 @@ pub fn lint_tokens(ctx: &FileCtx<'_>, lexed: &Lexed, mask: &[bool], cfg: &Config
                         "raw `{}` access bypasses the generational accessor seam; go through \
                          the CsWorld peer accessors (world.rs) or escape with \
                          `// cs-lint: allow(arena-access) — <invariant>`",
-                        t.text
-                    ),
-                );
-            }
-        }
-
-        // A2 — raw shard-partition access outside the router seam. Flags
-        // `shards[…]` subscripts and `shard_pair_mut(…)` calls; method
-        // calls like `world.shards()` or `map.shard_of(id)` are the
-        // sanctioned API and don't match.
-        if det && !shard_ok && t.kind == TokKind::Ident {
-            let indexed =
-                t.text == "shards" && matches!(toks.get(i + 1), Some(n) if n.is_punct("["));
-            let pair_call =
-                t.text == "shard_pair_mut" && matches!(toks.get(i + 1), Some(n) if n.is_punct("("));
-            if indexed || pair_call {
-                push(
-                    &mut raw,
-                    t.line,
-                    RuleId::A2,
-                    format!(
-                        "raw `{}` partition access couples callers to the shard layout; go \
-                         through the CsWorld router accessors or escape with \
-                         `// cs-lint: allow(shard-isolation) — <ownership invariant>`",
                         t.text
                     ),
                 );

@@ -160,34 +160,6 @@ fn a1_exempts_the_accessor_seam_and_nondet_crates() {
 }
 
 #[test]
-fn a2_shard_isolation_fires() {
-    let src = include_str!("fixtures/a2_shard_isolation.rs");
-    // Raw subscript (line 5) and the pair-split call (line 6) fire; the
-    // `world.shards()` / `map.shard_of(..)` calls do not; line 18 is
-    // escaped.
-    assert_eq!(hits("proto", false, src), vec![("A2", 5), ("A2", 6)]);
-}
-
-#[test]
-fn a2_exempts_the_router_seam_and_nondet_crates() {
-    let src = include_str!("fixtures/a2_shard_isolation.rs");
-    for (krate, seam) in [
-        ("proto", "crates/proto/src/world.rs"),
-        ("proto", "crates/proto/src/shard.rs"),
-        ("proto", "crates/proto/src/arena.rs"),
-        ("sim", "crates/sim/src/shard.rs"),
-    ] {
-        let findings = lint_source(krate, seam, false, src);
-        assert!(
-            findings.iter().all(|f| f.rule != RuleId::A2),
-            "{seam} is the sanctioned shard router seam: {findings:?}"
-        );
-    }
-    // `analysis` is outside the deterministic-crate scope.
-    assert_eq!(hits("analysis", false, src), vec![]);
-}
-
-#[test]
 fn escapes_suppress_and_misuse_is_flagged() {
     let src = include_str!("fixtures/escapes.rs");
     // Lines 3 (trailing escape) and 5 (escape on the line above) are

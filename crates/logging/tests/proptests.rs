@@ -1,6 +1,7 @@
 //! Property tests: every representable report survives the log-string
-//! round trip, including through the text log-file format, and the strict
-//! decoder rejects duplicate keys and unknown activity codes.
+//! round trip, including through the text log-file format, truncated
+//! lines decode to an error rather than a panic, and the strict decoder
+//! rejects duplicate keys and unknown activity codes.
 
 use cs_logging::{ActivityKind, CodecError, LogServer, Pairs, Report, ReportError, UserId};
 use cs_sim::SimTime;
@@ -93,6 +94,18 @@ proptest! {
         // strict decoding refuses.
         let encoded = r.encode();
         prop_assert!(Pairs::decode_strict(&encoded).is_ok());
+    }
+
+    #[test]
+    fn truncated_lines_decode_to_ok_or_err(r in arb_report()) {
+        // Every cut of a valid line returns from both decoders instead of
+        // panicking; the uncut line still round-trips.
+        let encoded = r.encode();
+        for cut in 0..encoded.len() {
+            let _ = Pairs::decode(&encoded[..cut]);
+            let _ = Report::decode(&encoded[..cut]);
+        }
+        prop_assert_eq!(Report::decode(&encoded), Ok(r));
     }
 
     #[test]

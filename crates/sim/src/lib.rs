@@ -41,17 +41,15 @@ mod engine;
 pub mod observer;
 mod queue;
 pub mod rng;
-mod shard;
 mod time;
 mod trace;
 
 pub use det::{DetMap, DetSet};
 pub use engine::{Ctx, Engine, RunStats, StopReason, World};
 pub use observer::{
-    DispatchMeta, EventStats, KindClassify, ManagerClassify, MultiObserver, Observer, TraceHasher,
+    DispatchMeta, KindClassify, ManagerClassify, MultiObserver, Observer, TraceHasher,
 };
 pub use queue::reference::ReferenceQueue;
 pub use queue::{EventQueue, Popped};
-pub use shard::{ShardWorld, ShardedEngine};
 pub use time::SimTime;
 pub use trace::{Trace, TraceEntry};

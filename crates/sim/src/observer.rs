@@ -10,16 +10,14 @@
 //!
 //! Built-in observers:
 //!
-//! * [`EventStats`] — per-event-kind dispatch counters plus the queue
-//!   depth high-water mark,
 //! * [`TraceHasher`] — folds `(time, event kind)` of every dispatch into
 //!   one `u64` (FNV-1a), so two runs can be compared for behavioural
 //!   identity by comparing a single number,
 //! * [`MultiObserver`] — fan-out to several observers.
 //!
-//! Both instruments name events through one [`KindClassify`] impl per
-//! event alphabet (e.g. cs-proto's `EventKinds`), so every layer of
-//! instrumentation — counters, trace hashes, telemetry — agrees on kind
+//! Instruments name events through one [`KindClassify`] impl per event
+//! alphabet (e.g. cs-proto's `EventKinds`), so every layer of
+//! instrumentation — trace hashes, telemetry counters — agrees on kind
 //! names by construction.
 //!
 //! Observers are attached as `Box<dyn Observer<W>>`, which would normally
@@ -54,7 +52,6 @@
 //! ```
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::marker::PhantomData;
 use std::rc::Rc;
 
@@ -69,7 +66,7 @@ use crate::time::SimTime;
 /// costing an indirect call per event.
 ///
 /// One impl per event alphabet: every instrument that names events
-/// ([`EventStats`], [`TraceHasher`], cs-telemetry's engine observer)
+/// ([`TraceHasher`], cs-telemetry's engine observer)
 /// takes its classifier through this trait, so kind names cannot drift
 /// apart between instruments.
 pub trait KindClassify<E> {
@@ -156,75 +153,6 @@ impl<W: World, T: Observer<W>> Observer<W> for Rc<RefCell<T>> {
     }
     fn after_handle(&mut self, now: SimTime, world: &W) {
         self.borrow_mut().after_handle(now, world);
-    }
-}
-
-/// Per-event-kind dispatch counters and queue-depth high-water mark.
-///
-/// Event kinds are produced by the caller-supplied [`KindClassify`] impl
-/// `C`, keeping this crate ignorant of any particular event alphabet.
-pub struct EventStats<E, C: KindClassify<E>> {
-    classify: PhantomData<fn(&E) -> C>,
-    counts: BTreeMap<&'static str, u64>,
-    queue_high_water: usize,
-    events: u64,
-}
-
-impl<E, C: KindClassify<E>> EventStats<E, C> {
-    /// Counters using `C` to name each event.
-    pub fn new() -> Self {
-        EventStats {
-            classify: PhantomData,
-            counts: BTreeMap::new(),
-            queue_high_water: 0,
-            events: 0,
-        }
-    }
-
-    /// Dispatch count per event kind, sorted by kind name.
-    pub fn counts(&self) -> &BTreeMap<&'static str, u64> {
-        &self.counts
-    }
-
-    /// Largest queue depth seen at any dispatch, *including* the event
-    /// being dispatched — a run with one event at a time has a high-water
-    /// mark of 1, and 0 means no event was ever observed.
-    pub fn queue_high_water(&self) -> usize {
-        self.queue_high_water
-    }
-
-    /// Total events observed.
-    pub fn events(&self) -> u64 {
-        self.events
-    }
-
-    /// Render as one `kind count` line per kind plus a high-water line.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        for (kind, n) in &self.counts {
-            out.push_str(&format!("{kind:24} {n}\n"));
-        }
-        out.push_str(&format!(
-            "queue high-water mark    {}\n",
-            self.queue_high_water
-        ));
-        out
-    }
-}
-
-impl<E, C: KindClassify<E>> Default for EventStats<E, C> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<W: World, C: KindClassify<W::Event>> Observer<W> for EventStats<W::Event, C> {
-    fn on_dispatch(&mut self, _now: SimTime, event: &W::Event, queue_depth: usize) {
-        *self.counts.entry(C::class(event).1).or_insert(0) += 1;
-        // `queue_depth` excludes the popped event; count it back in so the
-        // mark reflects how full the queue actually got.
-        self.queue_high_water = self.queue_high_water.max(queue_depth + 1);
-        self.events += 1;
     }
 }
 
@@ -351,6 +279,7 @@ impl<W: World> Observer<W> for MultiObserver<W> {
 mod tests {
     use super::*;
     use crate::engine::{Ctx, Engine};
+    use std::collections::BTreeMap;
 
     /// Fans out `n` one-shot events per tick until `depth` generations.
     struct Fanout {
@@ -387,8 +316,27 @@ mod tests {
         }
     }
 
+    /// Per-kind dispatch counts, total events and the queue high-water
+    /// mark *including* the event being dispatched (the engine reports
+    /// the depth after the pop, so one pending event at a time peaks
+    /// at 1).
+    #[derive(Default)]
+    struct Counts {
+        by_kind: BTreeMap<&'static str, u64>,
+        events: u64,
+        high_water: usize,
+    }
+
+    impl Observer<Fanout> for Counts {
+        fn on_dispatch(&mut self, _now: SimTime, event: &Ev, queue_depth: usize) {
+            *self.by_kind.entry(EvKinds::class(event).1).or_insert(0) += 1;
+            self.high_water = self.high_water.max(queue_depth + 1);
+            self.events += 1;
+        }
+    }
+
     fn run_instrumented(seed_gen: u32) -> (u64, u64, BTreeMap<&'static str, u64>, usize) {
-        let stats = Rc::new(RefCell::new(EventStats::<Ev, EvKinds>::new()));
+        let stats = Rc::new(RefCell::new(Counts::default()));
         let hasher = Rc::new(RefCell::new(TraceHasher::<Ev, EvKinds>::new()));
         let mut eng = Engine::new(Fanout { handled: 0 });
         eng.set_observer(Box::new(
@@ -401,7 +349,7 @@ mod tests {
         let handled = eng.world().handled;
         let h = hasher.borrow();
         let s = stats.borrow();
-        (h.hash(), handled, s.counts().clone(), s.queue_high_water())
+        (h.hash(), handled, s.by_kind.clone(), s.high_water)
     }
 
     #[test]
@@ -419,20 +367,20 @@ mod tests {
         // A single event, never more than one pending: the queue peaked
         // at 1, and the mark must say so even though the pending count
         // at dispatch time is 0.
-        let stats = Rc::new(RefCell::new(EventStats::<Ev, EvKinds>::new()));
+        let stats = Rc::new(RefCell::new(Counts::default()));
         let mut eng = Engine::new(Fanout { handled: 0 });
         eng.set_observer(Box::new(Rc::clone(&stats)));
         eng.schedule_at(SimTime::ZERO, Ev::Spawn(0));
         eng.run_until(SimTime::MAX);
         // Spawn(0) enqueues 2 leaves → depth peaked at 2 mid-run.
-        assert_eq!(stats.borrow().queue_high_water(), 2);
+        assert_eq!(stats.borrow().high_water, 2);
 
-        let stats = Rc::new(RefCell::new(EventStats::<Ev, EvKinds>::new()));
+        let stats = Rc::new(RefCell::new(Counts::default()));
         let mut eng = Engine::new(Fanout { handled: 0 });
         eng.set_observer(Box::new(Rc::clone(&stats)));
         eng.schedule_at(SimTime::ZERO, Ev::Leaf);
         eng.run_until(SimTime::MAX);
-        assert_eq!(stats.borrow().queue_high_water(), 1);
+        assert_eq!(stats.borrow().high_water, 1);
     }
 
     #[test]
@@ -446,7 +394,7 @@ mod tests {
 
     #[test]
     fn observer_can_be_detached_and_read() {
-        let stats = Rc::new(RefCell::new(EventStats::<Ev, EvKinds>::new()));
+        let stats = Rc::new(RefCell::new(Counts::default()));
         let mut eng = Engine::new(Fanout { handled: 0 });
         eng.set_observer(Box::new(Rc::clone(&stats)));
         eng.schedule_at(SimTime::ZERO, Ev::Spawn(0));
@@ -454,11 +402,10 @@ mod tests {
         assert!(eng.take_observer().is_some());
         assert!(eng.take_observer().is_none());
         // Detached runs see nothing new.
-        let before = stats.borrow().events();
+        let before = stats.borrow().events;
         eng.schedule_at(eng.now(), Ev::Leaf);
         eng.run_until(SimTime::MAX);
-        assert_eq!(stats.borrow().events(), before);
-        assert!(stats.borrow().render().contains("queue high-water"));
+        assert_eq!(stats.borrow().events, before);
     }
 
     #[test]

@@ -59,8 +59,8 @@ struct KindSlot {
 
 /// Engine-level metrics observer (see module docs). The classifier `C`
 /// is the event alphabet's single [`KindClassify`] impl (cs-proto's
-/// `EventKinds`), shared with `EventStats` and `TraceHasher` so kind
-/// names agree across every instrument.
+/// `EventKinds`), shared with `TraceHasher` so kind names agree across
+/// every instrument.
 pub struct TelemetryObserver<E, C: KindClassify<E>> {
     classify: std::marker::PhantomData<fn(&E) -> C>,
     registry: Rc<RefCell<MetricRegistry>>,
@@ -182,7 +182,7 @@ impl<W: World, C: KindClassify<W::Event>> Observer<W> for TelemetryObserver<W::E
         slot.name = kind;
         slot.count += 1;
         // `queue_depth` counts events pending *after* the pop; + 1 includes
-        // the event being dispatched (same accounting as EventStats).
+        // the event being dispatched.
         let depth = queue_depth.saturating_add(1);
         self.last_depth = depth;
         if depth > self.high_water {
